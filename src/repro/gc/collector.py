@@ -179,15 +179,15 @@ class Collector(abc.ABC):
         """Perform a full collection of everything this collector manages."""
 
     def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+        self, src_id: int, slot: int, target_id: int | None
     ) -> None:
         """Write-barrier hook; default is to remember nothing.
 
-        Called for every mutator store (``target`` is None when the
-        new value is not a pointer — the snapshot-at-the-beginning
-        barrier needs to see those deletions too).  Non-generational
-        stop-the-world collectors need no remembered sets, so the
-        default is a no-op.
+        Called for every mutator store, before the heap write, with
+        object ids (``target_id`` is None when the new value is not a
+        pointer — the snapshot-at-the-beginning barrier needs to see
+        those deletions too).  Non-generational stop-the-world
+        collectors need no remembered sets, so the default is a no-op.
         """
 
     def on_static_promotion(self) -> None:

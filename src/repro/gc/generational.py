@@ -225,17 +225,23 @@ class GenerationalCollector(Collector):
     # ------------------------------------------------------------------
 
     def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+        self, src_id: int, slot: int, target_id: int | None
     ) -> None:
         """Remember old-to-young pointer stores (situation 3 of §8.4)."""
-        if target is None:
+        if target_id is None:
             return
-        src_gen = self.generation_index(obj)
-        dst_gen = self.generation_index(target)
+        space_of = self.heap.space_if_live
+        src_space = space_of(src_id)
+        dst_space = space_of(target_id)
+        if src_space is None or dst_space is None:
+            return
+        generation_of = self._generation_of
+        src_gen = generation_of.get(src_space.name)
+        dst_gen = generation_of.get(dst_space.name)
         if src_gen is None or dst_gen is None:
             return
         if src_gen > dst_gen:
-            self.remsets[src_gen].record_barrier(obj.obj_id, slot)
+            self.remsets[src_gen].record_barrier(src_id, slot)
             self.stats.remset_entries_created += 1
 
     # ------------------------------------------------------------------

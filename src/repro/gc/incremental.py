@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from repro.gc.collector import Collector, HeapExhausted
 from repro.heap.heap import SimulatedHeap
-from repro.heap.object_model import HeapObject
 from repro.heap.roots import RootSet
 from repro.heap.space import Space
 
@@ -342,17 +341,17 @@ class IncrementalCollector(Collector):
     # ------------------------------------------------------------------
 
     def remember_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
+        self, src_id: int, slot: int, target_id: int | None
     ) -> None:
         """Gray the overwritten slot's old referent while marking.
 
-        ``target`` (the new value) is irrelevant to SATB — only the
+        ``target_id`` (the new value) is irrelevant to SATB — only the
         edge being *deleted* can hide a snapshot-reachable object.
         """
         if not self.cycle_open:
             return
         heap = self.heap
-        entry = heap.slot_ref(obj.obj_id, slot)
+        entry = heap.slot_ref(src_id, slot)
         if entry is None:
             return  # old value was not a pointer
         old_ref = entry[1]

@@ -11,7 +11,12 @@ five collectors are written against:
   ``cheney_evacuate``, ``free_unmarked``, ``partition_space``,
   ``extract_live``, ``extract_all``, ``place_id``, ``move_ids``,
   ``count_slot_refs_into`` and the id-level accessors (``size_of``,
-  ``ref_slots``, ``space_if_live``, ``slot_ref``, ...).
+  ``ref_slots``, ``space_if_live``, ``slot_ref``, ...), and
+* the mutator's id kernels, which the runtime ``Machine`` and the
+  write-barrier callers use instead of object views: ``kind_of``,
+  ``slot_value`` (raises ``HeapError`` when the slot holds a dangling
+  id), ``payload_of`` / ``set_payload`` and ``store_slot`` (the
+  range-checked slot write; probes stored ids in checked mode).
 
 Two backends exist:
 

@@ -10,20 +10,22 @@ the store creates a remembered-set entry.
 The barrier does not distinguish *why* a store is interesting — the
 paper notes that situations 3 and 6 of §8.4 are "detected by the write
 barrier, which does not distinguish between them" — so the hook
-receives only (source object, slot, target object).
+receives only (source id, slot, target id).  Both ends are object ids,
+not heap views: the hook runs on every mutator store, and collectors
+resolve whatever they need (a space, a color) through the heap's
+id-level kernels.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.heap.object_model import HeapObject
-
 __all__ = ["WriteBarrier"]
 
-#: Signature of the collector hook invoked on every store (the target
-#: is None when the new value is not a pointer).
-RememberStoreHook = Callable[[HeapObject, int, "HeapObject | None"], None]
+#: Signature of the collector hook invoked on every store:
+#: ``(src_id, slot, target_id)``, where ``target_id`` is None when the
+#: new value is not a pointer.
+RememberStoreHook = Callable[[int, int, "int | None"], None]
 
 
 class WriteBarrier:
@@ -45,9 +47,7 @@ class WriteBarrier:
         """Install the active collector's remember-store hook."""
         self._hook = hook
 
-    def on_store(
-        self, obj: HeapObject, slot: int, target: HeapObject | None
-    ) -> None:
+    def on_store(self, src_id: int, slot: int, target_id: int | None) -> None:
         """Record one mutator store; called before the heap write.
 
         The hook fires for *every* store — including overwrites with
@@ -58,10 +58,10 @@ class WriteBarrier:
         target.
         """
         self.stores += 1
-        if target is not None:
+        if target_id is not None:
             self.pointer_stores += 1
         if self._hook is not None:
-            self._hook(obj, slot, target)
+            self._hook(src_id, slot, target_id)
 
     def reset_counters(self) -> None:
         self.stores = 0

@@ -35,11 +35,14 @@ Object handles (:class:`FlatObject`) are created on demand by
 loops never touch them — they run over ids via the shared kernel
 methods (``trace_region``, ``cheney_evacuate``, ``free_unmarked``,
 ``partition_space``, ``extract_live``, ...) that both backends
-implement.
+implement — and neither does the runtime's mutator path, which reads
+and writes through the id kernels (``kind_of``, ``slot_value``,
+``payload_of``, ``store_slot``).
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import deque
 from typing import Callable, Iterable, Iterator
@@ -81,6 +84,9 @@ class FlatSpace:
     Mirrors :class:`repro.heap.space.Space` (name, capacity, ``used``,
     ``free``, ``fits``, membership, iteration) but membership is the
     packed state word in the owning :class:`FlatHeap`, not a dict.
+    The space reaches its heap through a weak proxy: the heap owns its
+    spaces, and a strong back-pointer would make every heap a
+    reference cycle that only CPython's cyclic collector could free.
     """
 
     __slots__ = ("name", "capacity", "used", "_heap", "_token", "_ids", "_count")
@@ -92,7 +98,7 @@ class FlatSpace:
         self.name = name
         self.capacity = capacity
         self.used = 0
-        self._heap = heap
+        self._heap = weakref.proxy(heap)
         self._token = token
         self._ids: list[int] = []
         self._count = 0
@@ -345,6 +351,7 @@ class FlatHeap:
         "objects_allocated",
         "checked",
         "event_sink",
+        "__weakref__",
     )
 
     def __init__(self, *, checked: bool = False) -> None:
@@ -463,7 +470,9 @@ class FlatHeap:
                 f"field count {field_count!r} does not fit in {size} words"
             )
         oid = len(self._hdr)
-        kind_code = 0 if kind == "data" else self._kind_code(kind)
+        kind_code = self._kind_codes.get(kind)
+        if kind_code is None:
+            kind_code = self._kind_code(kind)
         self._hdr.append(size | (field_count << _FC_SHIFT)
                          | (kind_code << _KIND_SHIFT))
         self._birth.append(self.clock)
@@ -646,10 +655,19 @@ class FlatHeap:
     def write_field(
         self, obj: FlatObject, slot: int, target: FlatObject | None
     ) -> None:
-        self.write_slot(obj, slot, None if target is None else target.obj_id)
+        self.store_slot(
+            obj.obj_id, slot, None if target is None else target.obj_id
+        )
 
-    def write_slot(self, obj: FlatObject, slot: int, value: object) -> None:
-        oid = obj.obj_id
+    # ------------------------------------------------------------------
+    # Id-level accessors (shared kernel surface)
+    # ------------------------------------------------------------------
+
+    def store_slot(self, oid: int, slot: int, value: object) -> None:
+        """Write a raw slot value by id (see ``SimulatedHeap.store_slot``)."""
+        state = self._state
+        if not 0 <= oid < len(state) or state[oid] == _DEAD:
+            raise HeapError(f"dangling object id {oid}")
         count = (self._hdr[oid] >> _FC_SHIFT) & _FC_MASK
         if slot < 0 or slot >= count:
             raise HeapError(
@@ -659,9 +677,25 @@ class FlatHeap:
             raise HeapError(f"cannot store dangling object id {value}")
         self._slots[self._slot_base[oid] + slot] = value
 
-    # ------------------------------------------------------------------
-    # Id-level accessors (shared kernel surface)
-    # ------------------------------------------------------------------
+    def slot_value(self, oid: int, slot: int) -> object:
+        """Slot ``slot`` of live object ``oid``; the caller checks the
+        range.  A stored id that names no live object raises
+        :class:`HeapError`, as :meth:`get` would."""
+        value = self._slots[self._slot_base[oid] + slot]
+        if type(value) is int:
+            state = self._state
+            if not 0 <= value < len(state) or state[value] == _DEAD:
+                raise HeapError(f"dangling object id {value}")
+        return value
+
+    def kind_of(self, oid: int) -> str:
+        return self._kind_names[self._hdr[oid] >> _KIND_SHIFT]
+
+    def payload_of(self, oid: int) -> object:
+        return self._payloads.get(oid)
+
+    def set_payload(self, oid: int, value: object) -> None:
+        self._payloads[oid] = value
 
     def size_of(self, oid: int) -> int:
         return self._hdr[oid] & _SIZE_MASK

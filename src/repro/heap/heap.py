@@ -40,7 +40,7 @@ class SimulatedHeap:
         clock: total words allocated so far — the reproduction's time
             axis.  Never decreases.
         objects_allocated: count of allocation events.
-        checked: when true, :meth:`write_slot` probes every stored
+        checked: when true, :meth:`store_slot` probes every stored
             reference against the object table and rejects dangling
             ids.  Off by default: the probe costs a dict lookup on
             *every* pointer store, and a correct mutator never stores a
@@ -79,6 +79,14 @@ class SimulatedHeap:
         #: (space creation/removal) are cold paths, so the guard costs
         #: nothing on allocation.
         self.event_sink = None
+
+    def __del__(self) -> None:
+        # A resident and its space point at each other (``obj.space``,
+        # ``space._objects``).  Unlink them when the heap dies, so a
+        # finished run's objects are freed by reference counting
+        # rather than left for CPython's cyclic collector.
+        for space in self._spaces.values():
+            space._objects.clear()
 
     # ------------------------------------------------------------------
     # Spaces
@@ -312,32 +320,52 @@ class SimulatedHeap:
         :meth:`repro.runtime.machine.Machine.write_field`, which applies
         the write barrier before delegating here.
         """
-        self.write_slot(obj, slot, None if target is None else target.obj_id)
+        self.store_slot(
+            obj.obj_id, slot, None if target is None else target.obj_id
+        )
 
-    def write_slot(self, obj: HeapObject, slot: int, value: object) -> None:
-        """Write a slot's raw value: an id, None, or an immediate.
+    # ------------------------------------------------------------------
+    # Id-level accessors (shared kernel surface)
+    # ------------------------------------------------------------------
+
+    def store_slot(self, oid: int, slot: int, value: object) -> None:
+        """Write a raw slot value (an id, None, or an immediate) by id.
 
         In :attr:`checked` mode, a stored reference is probed against
         the object table so dangling stores fail at the store site;
         otherwise they surface later via :meth:`check_integrity` or a
         dangling :meth:`get`.
         """
-        if slot < 0 or slot >= len(obj.fields):
+        objects = self._objects
+        obj = objects.get(oid)
+        if obj is None:
+            raise HeapError(f"dangling object id {oid}")
+        fields = obj.fields
+        if slot < 0 or slot >= len(fields):
             raise HeapError(
-                f"object {obj.obj_id} has no slot {slot} "
-                f"(it has {len(obj.fields)})"
+                f"object {oid} has no slot {slot} (it has {len(fields)})"
             )
-        if (
-            self.checked
-            and type(value) is int
-            and value not in self._objects
-        ):
+        if self.checked and type(value) is int and value not in objects:
             raise HeapError(f"cannot store dangling object id {value}")
-        obj.fields[slot] = value
+        fields[slot] = value
 
-    # ------------------------------------------------------------------
-    # Id-level accessors (shared kernel surface)
-    # ------------------------------------------------------------------
+    def slot_value(self, oid: int, slot: int) -> object:
+        """Slot ``slot`` of live object ``oid``; the caller checks the
+        range.  A stored id that names no live object raises
+        :class:`HeapError`, as :meth:`get` would."""
+        value = self._objects[oid].fields[slot]
+        if type(value) is int and value not in self._objects:
+            raise HeapError(f"dangling object id {value}")
+        return value
+
+    def kind_of(self, oid: int) -> str:
+        return self._objects[oid].kind
+
+    def payload_of(self, oid: int) -> object:
+        return self._objects[oid].payload
+
+    def set_payload(self, oid: int, value: object) -> None:
+        self._objects[oid].payload = value
 
     def size_of(self, oid: int) -> int:
         return self._objects[oid].size

@@ -66,38 +66,57 @@ class BoyerRewriter:
         are constants (the nboyer bug fix); compound patterns require
         the same operator and matching argument lists.
         """
-        machine = self.machine
         subst: dict[object, SchemeValue] = {}
+        return subst if self._unify1(term, pattern, subst) else None
 
-        def unify1(term: SchemeValue, pattern: SchemeValue) -> bool:
-            if not is_compound(pattern):
-                if isinstance(pattern, Fixnum):
-                    return isinstance(term, Fixnum) and term == pattern
-                if isinstance(pattern, Ref) and pattern.is_symbol():
-                    key = machine.symbol_name(pattern)
-                    bound = subst.get(key)
-                    if bound is not None:
-                        return term_equal(machine, term, bound)
-                    subst[key] = term
-                    return True
-                return term == pattern
-            if not is_compound(term):
+    # The matcher is two methods threading ``subst`` rather than two
+    # closures over it: mutually recursive closures form a reference
+    # cycle, and a failed match's bindings (rooted handles) would stay
+    # in it until CPython's cyclic collector ran.
+
+    def _unify1(
+        self,
+        term: SchemeValue,
+        pattern: SchemeValue,
+        subst: dict[object, SchemeValue],
+    ) -> bool:
+        machine = self.machine
+        if not is_compound(pattern):
+            if isinstance(pattern, Fixnum):
+                return isinstance(term, Fixnum) and term == pattern
+            if isinstance(pattern, Ref) and pattern.is_symbol():
+                key = machine.symbol_name(pattern)
+                bound = subst.get(key)
+                if bound is not None:
+                    return term_equal(machine, term, bound)
+                subst[key] = term
+                return True
+            return term == pattern
+        if not is_compound(term):
+            return False
+        if machine.car(term) != machine.car(pattern):
+            return False
+        return self._unify_list(
+            machine.cdr(term), machine.cdr(pattern), subst
+        )
+
+    def _unify_list(
+        self,
+        terms: SchemeValue,
+        patterns: SchemeValue,
+        subst: dict[object, SchemeValue],
+    ) -> bool:
+        machine = self.machine
+        while patterns is not None:
+            if terms is None:
                 return False
-            if machine.car(term) != machine.car(pattern):
+            if not self._unify1(
+                machine.car(terms), machine.car(patterns), subst
+            ):
                 return False
-            return unify_list(machine.cdr(term), machine.cdr(pattern))
-
-        def unify_list(terms: SchemeValue, patterns: SchemeValue) -> bool:
-            while patterns is not None:
-                if terms is None:
-                    return False
-                if not unify1(machine.car(terms), machine.car(patterns)):
-                    return False
-                terms = machine.cdr(terms)
-                patterns = machine.cdr(patterns)
-            return terms is None
-
-        return subst if unify1(term, pattern) else None
+            terms = machine.cdr(terms)
+            patterns = machine.cdr(patterns)
+        return terms is None
 
     # ------------------------------------------------------------------
     # Rewriting

@@ -135,26 +135,49 @@ def run_nucleic(
         for _ in range(candidates)
     ]
     words_before = machine.stats.words_allocated
-    solutions = 0
-    tried = 0
-    limit2 = max_radius * max_radius
-
-    def place(depth: int, frame: Ref) -> None:
-        nonlocal solutions, tried
-        if depth == residues:
-            solutions += 1
-            return
-        for transform in candidate_transforms:
-            tried += 1
-            placed = _compose(machine, frame, transform)
-            if _origin_distance2(machine, placed) <= limit2:
-                place(depth + 1, placed)
-
-    place(0, _identity(machine))
+    search = _Search(
+        machine, candidate_transforms, residues, max_radius * max_radius
+    )
+    search.place(0, _identity(machine))
     return NucleicResult(
         residues=residues,
         candidates=candidates,
-        solutions=solutions,
-        placements_tried=tried,
+        solutions=search.solutions,
+        placements_tried=search.tried,
         words_allocated=machine.stats.words_allocated - words_before,
     )
+
+
+class _Search:
+    """The backtracking placement search.
+
+    A method rather than a self-recursive closure: a closure that
+    refers to itself is a reference cycle, which would keep the
+    machine and the search's handles alive until CPython's cyclic
+    collector ran.
+    """
+
+    def __init__(
+        self,
+        machine: Machine,
+        transforms: list[Ref],
+        residues: int,
+        limit2: float,
+    ) -> None:
+        self.machine = machine
+        self.transforms = transforms
+        self.residues = residues
+        self.limit2 = limit2
+        self.solutions = 0
+        self.tried = 0
+
+    def place(self, depth: int, frame: Ref) -> None:
+        if depth == self.residues:
+            self.solutions += 1
+            return
+        machine = self.machine
+        for transform in self.transforms:
+            self.tried += 1
+            placed = _compose(machine, frame, transform)
+            if _origin_distance2(machine, placed) <= self.limit2:
+                self.place(depth + 1, placed)

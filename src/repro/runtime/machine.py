@@ -7,10 +7,27 @@ and exposes Scheme-flavoured constructors and accessors (``cons``,
 ``car``, ``vector_set``, flonum arithmetic, ...).
 
 Rooting model: every live :class:`~repro.runtime.values.Ref` handle
-held by Python code is a GC root, via a root provider registered with
-the root set.  This mirrors the stack maps/handle scopes of real
-runtimes and lets benchmark code be written as ordinary Python while
-remaining GC-safe (a collection can strike inside any constructor).
+held by Python code is a GC root.  A handle holds an object id and
+counts itself into the machine's
+:class:`~repro.runtime.values.HandleTable`, whose ``ids`` method is a
+root provider of the root set.  This mirrors the stack maps/handle
+scopes of real runtimes and lets benchmark code be written as ordinary
+Python while remaining GC-safe (a collection can strike inside any
+constructor).
+
+The mutator path works on ids end to end: reads go through the heap's
+id kernels (``kind_of``, ``slot_value``, ``payload_of``), stores through
+``store_slot``, allocation through ``Collector.allocate_id``, and the
+write barrier receives ``(source id, slot, target id | None)``.  Heap
+views are built only for allocation hooks and the cold paths
+(static promotion, live-word tracing).
+
+Handle lifetimes decide the root set at every safepoint, so the
+runtime builds no reference cycles: nothing a handle, the handle table
+or the root set refers to points back at the machine.  A finished
+run's machine, heap and handles are then freed by reference counting
+alone, at a point fixed by the program rather than by when CPython's
+cyclic collector runs.
 
 Static area discipline: objects in the static area (symbols and their
 names) are immutable after creation and may only reference other
@@ -21,7 +38,7 @@ the machine rejects such stores.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.gc.collector import Collector
 from repro.gc.stats import GcStats
@@ -35,6 +52,7 @@ from repro.runtime.values import (
     PAIR_WORDS,
     SYMBOL_WORDS,
     Fixnum,
+    HandleTable,
     Ref,
     SchemeValue,
     word_size_of_string,
@@ -61,10 +79,11 @@ class Machine:
         self.collector = collector_factory(self.heap, self.roots)
         self.barrier = WriteBarrier(self.collector.remember_store)
         self.static = self.heap.add_space("static", None)
-        self._handles: dict[int, int] = {}
-        self.roots.add_provider(self._handle_ids)
+        self._handles = HandleTable(self.heap)
+        self.roots.add_provider(self._handles.ids)
         self._symbols: dict[str, Ref] = {}
-        #: Callbacks invoked with each dynamically allocated object.
+        #: Callbacks invoked with a view of each dynamically allocated
+        #: object (the only place the mutator path builds views).
         self._allocation_hooks: list[Callable[[HeapObject], None]] = []
         #: Mutator operations executed (reads, stores, arithmetic).
         #: Together with words allocated this is the simulator's proxy
@@ -77,23 +96,6 @@ class Machine:
     # Handles (Python-side roots)
     # ------------------------------------------------------------------
 
-    def _retain(self, obj_id: int) -> None:
-        self._handles[obj_id] = self._handles.get(obj_id, 0) + 1
-
-    def _release(self, obj_id: int) -> None:
-        count = self._handles.get(obj_id)
-        if count is None:
-            return
-        if count <= 1:
-            del self._handles[obj_id]
-        else:
-            self._handles[obj_id] = count - 1
-
-    def _handle_ids(self) -> Iterable[int]:
-        # Snapshot: a handle's __del__ may run at any bytecode, and
-        # mutating the dict during root enumeration would be an error.
-        return list(self._handles)
-
     @property
     def handle_count(self) -> int:
         return len(self._handles)
@@ -105,7 +107,7 @@ class Machine:
     def _encode(self, value: SchemeValue) -> object:
         """Program value -> slot value (id for handles, raw immediates)."""
         if isinstance(value, Ref):
-            return value.obj.obj_id
+            return value.obj_id
         if value is None or isinstance(value, (bool, Fixnum)):
             return value
         if isinstance(value, str) and len(value) == 1:
@@ -118,24 +120,23 @@ class Machine:
             )
         raise TypeError(f"not a storable Scheme value: {value!r}")
 
-    def _decode(self, slot_value: object) -> SchemeValue:
-        """Slot value -> program value (ids become fresh handles)."""
-        if type(slot_value) is int:
-            return Ref(self, self.heap.get(slot_value))
-        return slot_value
-
     # ------------------------------------------------------------------
     # Stores
     # ------------------------------------------------------------------
 
-    def _store(self, obj: HeapObject, slot: int, value: SchemeValue) -> None:
+    def _store(self, oid: int, slot: int, value: SchemeValue) -> None:
         self.operations += 1
+        heap = self.heap
         barrier = self.barrier
         if isinstance(value, Ref):
-            # A live handle pins its object, so the handle's HeapObject
-            # *is* the store target — no id round-trip needed.
-            target = value.obj
-            if obj.space is self.static and target.space is not self.static:
+            # A live handle pins its object, so its id is a valid
+            # store target as it stands.
+            target = value.obj_id
+            static = self.static
+            if (
+                heap.space_if_live(oid) is static
+                and heap.space_if_live(target) is not static
+            ):
                 raise HeapError(
                     "static objects may only reference static objects"
                 )
@@ -143,8 +144,8 @@ class Machine:
             barrier.pointer_stores += 1
             hook = barrier._hook
             if hook is not None:
-                hook(obj, slot, target)
-            self.heap.write_slot(obj, slot, target.obj_id)
+                hook(oid, slot, target)
+            heap.store_slot(oid, slot, target)
         else:
             encoded = self._encode(value)
             barrier.stores += 1
@@ -153,19 +154,24 @@ class Machine:
                 # The SATB barrier must see pointer *deletions* too:
                 # overwriting a reference slot with an immediate kills
                 # an edge just as surely as storing None.
-                hook(obj, slot, None)
-            self.heap.write_slot(obj, slot, encoded)
+                hook(oid, slot, None)
+            heap.store_slot(oid, slot, encoded)
 
-    def _require(self, value: SchemeValue, kind: str) -> HeapObject:
-        if not isinstance(value, Ref) or value.obj.kind != kind:
+    def _require(self, value: SchemeValue, kind: str) -> int:
+        """The id of ``value`` if it is a handle to a ``kind`` object."""
+        if (
+            not isinstance(value, Ref)
+            or self.heap.kind_of(value.obj_id) != kind
+        ):
             raise TypeError(f"expected a {kind}, got {value!r}")
-        return value.obj
+        return value.obj_id
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
 
-    def _notify(self, obj: HeapObject) -> None:
+    def _notify(self, oid: int) -> None:
+        obj = self.heap.get(oid)
         for hook in self._allocation_hooks:
             hook(obj)
 
@@ -177,65 +183,69 @@ class Machine:
 
         The two initializing stores are inlined from :meth:`_store`: a
         fresh pair is never in the static area (so the static-reference
-        check cannot fire) and slots 0/1 exist by construction (so the
-        bounds and dangling checks cannot fire either).  Barrier counts
-        and the remember-store hook are identical to ``_store``.
+        check cannot fire), and its old slot values are None (so an
+        immediate store has no deleted edge to report).  Barrier counts
+        and the remember-store hook are otherwise identical to
+        ``_store``.
         """
-        obj = self.collector.allocate(PAIR_WORDS, 2, "pair")
-        ref = Ref(self, obj)
-        fields = obj.fields
+        oid = self.collector.allocate_id(PAIR_WORDS, 2, "pair")
+        ref = Ref(self._handles, oid)
+        store = self.heap.store_slot
         barrier = self.barrier
         hook = barrier._hook
         self.operations += 2
         barrier.stores += 2
         if isinstance(car, Ref):
-            target = car.obj
+            target = car.obj_id
             barrier.pointer_stores += 1
             if hook is not None:
-                hook(obj, 0, target)
-            fields[0] = target.obj_id
+                hook(oid, 0, target)
+            store(oid, 0, target)
         else:
-            fields[0] = self._encode(car)
+            store(oid, 0, self._encode(car))
         if isinstance(cdr, Ref):
-            target = cdr.obj
+            target = cdr.obj_id
             barrier.pointer_stores += 1
             if hook is not None:
-                hook(obj, 1, target)
-            fields[1] = target.obj_id
+                hook(oid, 1, target)
+            store(oid, 1, target)
         else:
-            fields[1] = self._encode(cdr)
+            store(oid, 1, self._encode(cdr))
         if self._allocation_hooks:
-            self._notify(obj)
+            self._notify(oid)
         return ref
 
     def make_vector(self, length: int, fill: SchemeValue = None) -> Ref:
         """Allocate a vector (length + 1 words)."""
-        obj = self.collector.allocate(
+        oid = self.collector.allocate_id(
             word_size_of_vector(length), length, "vector"
         )
-        ref = Ref(self, obj)
+        ref = Ref(self._handles, oid)
         if fill is not None:
             for slot in range(length):
-                self._store(obj, slot, fill)
-        self._notify(obj)
+                self._store(oid, slot, fill)
+        if self._allocation_hooks:
+            self._notify(oid)
         return ref
 
     def make_flonum(self, value: float) -> Ref:
         """Box an IEEE double (4 words, §7.2's flonum representation)."""
-        obj = self.collector.allocate(FLONUM_WORDS, 0, "flonum")
-        obj.payload = float(value)
-        ref = Ref(self, obj)
-        self._notify(obj)
+        oid = self.collector.allocate_id(FLONUM_WORDS, 0, "flonum")
+        self.heap.set_payload(oid, float(value))
+        ref = Ref(self._handles, oid)
+        if self._allocation_hooks:
+            self._notify(oid)
         return ref
 
     def make_string(self, text: str) -> Ref:
         """Allocate a string (1 + ceil(n/4) words)."""
-        obj = self.collector.allocate(
+        oid = self.collector.allocate_id(
             word_size_of_string(len(text)), 0, "string"
         )
-        obj.payload = text
-        ref = Ref(self, obj)
-        self._notify(obj)
+        self.heap.set_payload(oid, text)
+        ref = Ref(self._handles, oid)
+        if self._allocation_hooks:
+            self._notify(oid)
         return ref
 
     def intern(self, name: str) -> Ref:
@@ -244,25 +254,28 @@ class Machine:
         Symbols and their print names live in the static area, are
         never collected, and do not advance the allocation clock —
         matching the paper's setup, where the static area holds "code,
-        constants, and global data" outside the measured heap.
+        constants, and global data" outside the measured heap.  The
+        symbol table keeps one handle per symbol, so interned symbols
+        stay rooted.
         """
         existing = self._symbols.get(name)
         if existing is not None:
             return existing
-        string_obj = self.heap.allocate(
+        heap = self.heap
+        string_id = heap.allocate_id(
             word_size_of_string(len(name)),
             0,
             self.static,
             "string",
             advance_clock=False,
         )
-        string_obj.payload = name
-        symbol_obj = self.heap.allocate(
+        heap.set_payload(string_id, name)
+        symbol_id = heap.allocate_id(
             SYMBOL_WORDS, 1, self.static, "symbol", advance_clock=False
         )
-        symbol_obj.payload = name
-        self.heap.write_field(symbol_obj, 0, string_obj)
-        ref = Ref(self, symbol_obj)
+        heap.set_payload(symbol_id, name)
+        heap.store_slot(symbol_id, 0, string_id)
+        ref = Ref(self._handles, symbol_id)
         self._symbols[name] = ref
         return ref
 
@@ -272,20 +285,22 @@ class Machine:
 
     def car(self, pair: SchemeValue) -> SchemeValue:
         self.operations += 1
-        if not isinstance(pair, Ref) or pair.obj.kind != "pair":
+        heap = self.heap
+        if not isinstance(pair, Ref) or heap.kind_of(pair.obj_id) != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        value = pair.obj.fields[0]
+        value = heap.slot_value(pair.obj_id, 0)
         if type(value) is int:
-            return Ref(self, self.heap.get(value))
+            return Ref(self._handles, value)
         return value
 
     def cdr(self, pair: SchemeValue) -> SchemeValue:
         self.operations += 1
-        if not isinstance(pair, Ref) or pair.obj.kind != "pair":
+        heap = self.heap
+        if not isinstance(pair, Ref) or heap.kind_of(pair.obj_id) != "pair":
             raise TypeError(f"expected a pair, got {pair!r}")
-        value = pair.obj.fields[1]
+        value = heap.slot_value(pair.obj_id, 1)
         if type(value) is int:
-            return Ref(self, self.heap.get(value))
+            return Ref(self._handles, value)
         return value
 
     def set_car(self, pair: SchemeValue, value: SchemeValue) -> None:
@@ -299,39 +314,39 @@ class Machine:
     # ------------------------------------------------------------------
 
     def vector_length(self, vector: SchemeValue) -> int:
-        return len(self._require(vector, "vector").fields)
+        return self.heap.slot_count_of(self._require(vector, "vector"))
+
+    def _vector_slot(self, vector: SchemeValue, index: int) -> int:
+        """The id of a vector whose slot ``index`` exists."""
+        oid = self._require(vector, "vector")
+        length = self.heap.slot_count_of(oid)
+        if not 0 <= index < length:
+            raise IndexError(
+                f"vector index {index} out of range 0..{length - 1}"
+            )
+        return oid
 
     def vector_ref(self, vector: SchemeValue, index: int) -> SchemeValue:
         self.operations += 1
-        obj = self._require(vector, "vector")
-        if not 0 <= index < len(obj.fields):
-            raise IndexError(
-                f"vector index {index} out of range 0..{len(obj.fields) - 1}"
-            )
-        value = obj.fields[index]
+        value = self.heap.slot_value(self._vector_slot(vector, index), index)
         if type(value) is int:
-            return Ref(self, self.heap.get(value))
+            return Ref(self._handles, value)
         return value
 
     def vector_set(
         self, vector: SchemeValue, index: int, value: SchemeValue
     ) -> None:
-        obj = self._require(vector, "vector")
-        if not 0 <= index < len(obj.fields):
-            raise IndexError(
-                f"vector index {index} out of range 0..{len(obj.fields) - 1}"
-            )
-        self._store(obj, index, value)
+        self._store(self._vector_slot(vector, index), index, value)
 
     # ------------------------------------------------------------------
     # Strings and symbols
     # ------------------------------------------------------------------
 
     def string_value(self, string: SchemeValue) -> str:
-        return str(self._require(string, "string").payload)
+        return str(self.heap.payload_of(self._require(string, "string")))
 
     def symbol_name(self, symbol: SchemeValue) -> str:
-        return str(self._require(symbol, "symbol").payload)
+        return str(self.heap.payload_of(self._require(symbol, "symbol")))
 
     # ------------------------------------------------------------------
     # Flonums
@@ -339,7 +354,7 @@ class Machine:
 
     def flonum_value(self, flonum: SchemeValue) -> float:
         self.operations += 1
-        payload = self._require(flonum, "flonum").payload
+        payload = self.heap.payload_of(self._require(flonum, "flonum"))
         assert isinstance(payload, float)
         return payload
 

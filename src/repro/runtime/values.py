@@ -23,25 +23,30 @@ of the 7 million floating point operations in nucleic2 allocates 16
 bytes of heap storage: a header word, a word of padding, and two data
 words".
 
-Heap values are handled through :class:`Ref`, a smart handle: while a
-``Ref`` is alive in Python, the object it names is a GC root (the
-machine registers a root provider enumerating live handles).  This
-plays the role of the register/stack map a real runtime maintains, and
-CPython's reference counting releases handles promptly, so death times
-remain accurate.
+Heap values are handled through :class:`Ref`, a smart handle that
+holds an object *id* (never a heap view): while a ``Ref`` is alive in
+Python, the object it names is a GC root.  Each handle counts itself
+into its machine's :class:`HandleTable`, which the machine registers
+as a root provider.  This plays the role of the register/stack map a
+real runtime maintains, and CPython's reference counting releases
+handles promptly, so death times remain accurate.
+
+That promptness is the reason the runtime builds no reference cycles.
+A handle caught in a cycle (a closure that refers to itself, a frame
+kept by a traceback, an object that points back at its owner) stays a
+root until CPython's cyclic collector happens to run, so the simulated
+root set at a safepoint would depend on the host's collection timing
+rather than on the program.  Handles therefore point at the handle
+table, not at the machine, and the table points only at the heap.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.heap.object_model import HeapObject
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.machine import Machine
 
 __all__ = [
     "Fixnum",
+    "HandleTable",
     "Ref",
     "SchemeValue",
     "fx",
@@ -112,33 +117,48 @@ def fx(value: int) -> Fixnum:
     return Fixnum(value)
 
 
-class Ref:
-    """A rooted handle to a heap object.
+class HandleTable(dict):
+    """Live handle counts by object id: one machine's handle roots.
 
-    Creating a ``Ref`` registers its object with the machine's handle
-    table (making it a root); dropping the last Python reference
-    unregisters it.  Two handles are equal iff they name the same heap
-    object.
+    Maps each object id named by at least one live :class:`Ref` to the
+    number of such handles.  :meth:`ids` is the root provider the
+    machine registers.  The table refers to its heap (so handles can
+    read kinds and resolve views) and to nothing else, which keeps
+    handles, the table and the machine free of reference cycles.
     """
 
-    __slots__ = ("machine", "obj", "__weakref__")
+    __slots__ = ("heap",)
 
-    def __init__(self, machine: "Machine", obj: HeapObject) -> None:
-        self.machine = machine
-        self.obj = obj
-        # Inlined Machine._retain: handles are created on every heap
-        # read, so the extra method call is measurable on pointer-heavy
-        # workloads (boyer spends most of its time here).
-        handles = machine._handles
-        obj_id = obj.obj_id
+    def __init__(self, heap) -> None:
+        super().__init__()
+        self.heap = heap
+
+    def ids(self) -> list[int]:
+        # Snapshot: a handle's __del__ may run at any bytecode, and
+        # mutating the dict during root enumeration would be an error.
+        return list(self)
+
+
+class Ref:
+    """A rooted handle to a heap object, by id.
+
+    Creating a ``Ref`` counts its id into the handle table (making the
+    object a root); dropping the last Python reference counts it out.
+    Two handles are equal iff they name the same heap object.
+    """
+
+    __slots__ = ("_handles", "obj_id", "__weakref__")
+
+    def __init__(self, handles: HandleTable, obj_id: int) -> None:
+        self._handles = handles
+        self.obj_id = obj_id
         count = handles.get(obj_id)
         handles[obj_id] = 1 if count is None else count + 1
 
     def __del__(self) -> None:  # pragma: no cover - exercised implicitly
         try:
-            # Inlined Machine._release (see __init__).
-            handles = self.machine._handles
-            obj_id = self.obj.obj_id
+            handles = self._handles
+            obj_id = self.obj_id
             count = handles.get(obj_id)
             if count is None:
                 return
@@ -147,41 +167,43 @@ class Ref:
             else:
                 handles[obj_id] = count - 1
         except Exception:
-            # Interpreter shutdown can tear the machine down first;
+            # Interpreter shutdown can tear module state down first;
             # losing a release then is harmless.
             pass
 
     @property
-    def kind(self) -> str:
-        return self.obj.kind
+    def obj(self) -> HeapObject:
+        """A heap view of the object (a convenience, resolved through
+        ``heap.get``; the runtime itself works on :attr:`obj_id`)."""
+        return self._handles.heap.get(self.obj_id)
 
     @property
-    def obj_id(self) -> int:
-        return self.obj.obj_id
+    def kind(self) -> str:
+        return self._handles.heap.kind_of(self.obj_id)
 
     def is_pair(self) -> bool:
-        return self.obj.kind == "pair"
+        return self._handles.heap.kind_of(self.obj_id) == "pair"
 
     def is_vector(self) -> bool:
-        return self.obj.kind == "vector"
+        return self._handles.heap.kind_of(self.obj_id) == "vector"
 
     def is_string(self) -> bool:
-        return self.obj.kind == "string"
+        return self._handles.heap.kind_of(self.obj_id) == "string"
 
     def is_symbol(self) -> bool:
-        return self.obj.kind == "symbol"
+        return self._handles.heap.kind_of(self.obj_id) == "symbol"
 
     def is_flonum(self) -> bool:
-        return self.obj.kind == "flonum"
+        return self._handles.heap.kind_of(self.obj_id) == "flonum"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ref) and other.obj.obj_id == self.obj.obj_id
+        return isinstance(other, Ref) and other.obj_id == self.obj_id
 
     def __hash__(self) -> int:
-        return hash(("ref", self.obj.obj_id))
+        return hash(("ref", self.obj_id))
 
     def __repr__(self) -> str:
-        return f"Ref({self.obj.kind}#{self.obj.obj_id})"
+        return f"Ref({self.kind}#{self.obj_id})"
 
 
 #: The union of program-visible values: immediates and handles.

@@ -195,22 +195,24 @@ class TenantSession:
         return {"uid": uid, "clock": self.heap.clock}
 
     def _op_write(self, request: dict) -> dict:
-        src = self.heap.get(self._resolve(request["src"]))
+        heap = self.heap
+        # get() rejects a dangling id before the barrier sees it.
+        src = heap.get(self._resolve(request["src"])).obj_id
         slot = request["slot"]
-        if slot >= len(src.fields):
+        fields = heap.slot_count_of(src)
+        if slot >= fields:
             raise ProtocolError(
                 f"slot {slot} out of range for uid {request['src']} "
-                f"({len(src.fields)} fields)",
+                f"({fields} fields)",
                 kind="bad-request",
             )
         dst_uid = request.get("dst")
-        if dst_uid is None:
-            self.barrier.on_store(src, slot, None)
-            self.heap.write_field(src, slot, None)
-        else:
-            target = self.heap.get(self._resolve(dst_uid))
-            self.barrier.on_store(src, slot, target)
-            self.heap.write_field(src, slot, target)
+        target = (
+            None if dst_uid is None
+            else heap.get(self._resolve(dst_uid)).obj_id
+        )
+        self.barrier.on_store(src, slot, target)
+        heap.store_slot(src, slot, target)
         return {}
 
     def _op_drop(self, request: dict) -> dict:

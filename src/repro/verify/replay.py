@@ -425,14 +425,14 @@ def replay(
                 roots.set_global(f"u{uid}", obj)
             elif kind == "store":
                 _, src_uid, slot, dst_uid = op
-                src = heap.get(_resolve(uid_to_id, src_uid))
-                if dst_uid is None:
-                    barrier.on_store(src, slot, None)
-                    heap.write_field(src, slot, None)
-                else:
-                    target = heap.get(_resolve(uid_to_id, dst_uid))
-                    barrier.on_store(src, slot, target)
-                    heap.write_field(src, slot, target)
+                # get() rejects a dangling id before the barrier sees it.
+                src = heap.get(_resolve(uid_to_id, src_uid)).obj_id
+                target = (
+                    None if dst_uid is None
+                    else heap.get(_resolve(uid_to_id, dst_uid)).obj_id
+                )
+                barrier.on_store(src, slot, target)
+                heap.store_slot(src, slot, target)
             elif kind == "drop":
                 roots.remove_global(f"u{op[1]}")
             elif kind == "collect":

@@ -163,14 +163,14 @@ def _resumed_replay(
                     swap_context()
             elif op_kind == "store":
                 _, src_uid, slot, dst_uid = op
-                src = heap.get(uid_to_id[src_uid])
-                if dst_uid is None:
-                    barrier.on_store(src, slot, None)
-                    heap.write_field(src, slot, None)
-                else:
-                    target = heap.get(uid_to_id[dst_uid])
-                    barrier.on_store(src, slot, target)
-                    heap.write_field(src, slot, target)
+                # get() rejects a dangling id before the barrier sees it.
+                src = heap.get(uid_to_id[src_uid]).obj_id
+                target = (
+                    None if dst_uid is None
+                    else heap.get(uid_to_id[dst_uid]).obj_id
+                )
+                barrier.on_store(src, slot, target)
+                heap.store_slot(src, slot, target)
             elif op_kind == "drop":
                 roots.remove_global(f"u{op[1]}")
             elif op_kind == "collect":

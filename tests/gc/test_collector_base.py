@@ -81,7 +81,7 @@ class TestTraceRegion:
         heap, roots, collector = setup
         a = collector.allocate(2, field_count=1)
         b = collector.allocate(2)
-        collector.remember_store(a, 0, b)  # must not raise
+        collector.remember_store(a.obj_id, 0, b.obj_id)  # must not raise
         collector.on_static_promotion()  # must not raise
 
     def test_describe(self, setup):

@@ -40,8 +40,9 @@ def setup(heap_words=100, backend=None, **kwargs):
 
 def link(heap, barrier, src, slot, dst):
     """One mutator pointer store, through the write barrier."""
-    barrier.on_store(src, slot, dst)
-    heap.write_slot(src, slot, dst.obj_id if dst is not None else None)
+    target = dst.obj_id if dst is not None else None
+    barrier.on_store(src.obj_id, slot, target)
+    heap.store_slot(src.obj_id, slot, target)
 
 
 def storm(collector, heap, roots, *, seed=0, steps=120):

@@ -77,7 +77,7 @@ class TestRememberedSets:
         collector.collect_generations(0)  # promote old to gen 1
         young = collector.allocate(2)
         frame.push(young)
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         assert (old.obj_id, 0) in collector.remsets[1]
 
     def test_barrier_ignores_young_to_old(self):
@@ -88,7 +88,7 @@ class TestRememberedSets:
         collector.collect_generations(0)
         young = collector.allocate(2, field_count=1)
         frame.push(young)
-        collector.remember_store(young, 0, old)
+        collector.remember_store(young.obj_id, 0, old.obj_id)
         assert len(collector.remsets[0]) == 0
         assert len(collector.remsets[1]) == 0
 
@@ -103,7 +103,7 @@ class TestRememberedSets:
         collector.collect_generations(0)
         young = collector.allocate(2)
         heap.write_field(old, 0, young)
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         # No root points at young; only old's slot does.
         collector.collect_generations(0)
         assert heap.contains_id(young.obj_id)
@@ -118,7 +118,7 @@ class TestRememberedSets:
         young = collector.allocate(2)
         frame.push(young)
         heap.write_field(old, 0, young)
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         heap.write_field(old, 0, None)  # overwritten: entry now stale
         collector.collect_generations(0)
         assert len(collector.remsets[1]) == 0
@@ -132,7 +132,7 @@ class TestRememberedSets:
         collector.collect_generations(0)
         young = collector.allocate(2)
         heap.write_field(old, 0, young)
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         collector.collect()
         assert all(len(remset) == 0 for remset in collector.remsets)
 

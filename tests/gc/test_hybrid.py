@@ -68,7 +68,7 @@ class TestYoungRememberedSet:
         collector.collect_nursery()  # old now in a step
         young = collector.allocate(2)
         frame.push(young)
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         assert (old.obj_id, 0) in collector.remset_young
 
     def test_remset_keeps_unrooted_nursery_object_alive(self):
@@ -79,7 +79,7 @@ class TestYoungRememberedSet:
         collector.collect_nursery()
         young = collector.allocate(2)
         heap.write_field(old, 0, young)
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         # young has no root; only old's remembered slot reaches it.
         collector.collect_nursery()
         assert heap.contains_id(young.obj_id)
@@ -93,7 +93,7 @@ class TestYoungRememberedSet:
         collector.collect_nursery()
         young = collector.allocate(2)
         heap.write_field(old, 0, young)
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         collector.collect_nursery()
         assert len(collector.remset_young) == 0
 
@@ -217,7 +217,7 @@ class TestSafety:
                 # hook as the machine would route them.
                 previous = window[-1][1]
                 heap.write_field(previous, 0, obj)
-                collector.remember_store(previous, 0, obj)
+                collector.remember_store(previous.obj_id, 0, obj.obj_id)
             slot = frame.push(obj)
             window.append((slot, obj))
             if len(window) > 10:

@@ -34,8 +34,9 @@ def setup(heap_words=100, backend=None, **kwargs):
 
 def link(heap, barrier, src, slot, dst):
     """One mutator pointer store, through the write barrier."""
-    barrier.on_store(src, slot, dst)
-    heap.write_slot(src, slot, dst.obj_id if dst is not None else None)
+    target = dst.obj_id if dst is not None else None
+    barrier.on_store(src.obj_id, slot, target)
+    heap.store_slot(src.obj_id, slot, target)
 
 
 class TestSlicing:

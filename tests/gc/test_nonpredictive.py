@@ -157,7 +157,7 @@ class TestRememberedSet:
         young = collector.allocate(2, field_count=1)
         frame.push(young)
         assert collector.step_number(young) <= 2  # protected
-        collector.remember_store(young, 0, old)
+        collector.remember_store(young.obj_id, 0, old.obj_id)
         assert (young.obj_id, 0) in collector.remset
 
     def test_barrier_ignores_collectable_sources(self):
@@ -167,7 +167,7 @@ class TestRememberedSet:
         b = collector.allocate(2, field_count=1)  # step 4
         frame.push(a)
         frame.push(b)
-        collector.remember_store(a, 0, b)
+        collector.remember_store(a.obj_id, 0, b.obj_id)
         assert len(collector.remset) == 0
 
     def test_remset_keeps_collectable_target_alive(self):
@@ -179,7 +179,7 @@ class TestRememberedSet:
         collector.allocate(4)  # step 2, garbage
         holder = collector.allocate(4, field_count=1)  # step 1, protected
         heap.write_field(holder, 0, target)
-        collector.remember_store(holder, 0, target)
+        collector.remember_store(holder.obj_id, 0, target.obj_id)
         collector.collect()
         assert heap.contains_id(target.obj_id)
         assert heap.contains_id(holder.obj_id)
@@ -192,7 +192,7 @@ class TestRememberedSet:
         collector.allocate(4)
         holder = collector.allocate(4, field_count=1)
         heap.write_field(holder, 0, target)
-        collector.remember_store(holder, 0, target)
+        collector.remember_store(holder.obj_id, 0, target.obj_id)
         collector.collect()
         assert len(collector.remset) == 0
 
@@ -223,7 +223,7 @@ class TestReduceJ:
         inner = collector.allocate(4)              # step 3 (protected)
         holder = collector.allocate(4, field_count=1)  # step 2 (protected)
         heap.write_field(holder, 0, inner)
-        collector.remember_store(holder, 0, inner)  # both protected: no entry
+        collector.remember_store(holder.obj_id, 0, inner.obj_id)  # both protected: no entry
         assert len(collector.remset) == 0
         collector.reduce_j(2)  # step 3 becomes collectable
         assert (holder.obj_id, 0) in collector.remset

@@ -104,7 +104,7 @@ class TestMarkSweepMode:
             obj = collector.allocate(2, field_count=1)
             if window:
                 heap.write_field(window[-1][1], 0, obj)
-                collector.remember_store(window[-1][1], 0, obj)
+                collector.remember_store(window[-1][1].obj_id, 0, obj.obj_id)
             slot = frame.push(obj)
             window.append((slot, obj))
             if len(window) > 10:

@@ -111,7 +111,7 @@ class TestFields:
     def test_write_slot_immediate(self, heap):
         space = heap.add_space("s", 10)
         a = heap.allocate(2, 2, space)
-        heap.write_slot(a, 0, Fixnum(5))
+        heap.store_slot(a.obj_id, 0, Fixnum(5))
         assert heap.read_slot(a, 0) == Fixnum(5)
         with pytest.raises(HeapError):
             heap.read_field(a, 0)  # typed read rejects immediates
@@ -123,7 +123,7 @@ class TestFields:
         b = heap.allocate(2, 0, space)
         heap.free(b)
         with pytest.raises(HeapError):
-            heap.write_slot(a, 0, b.obj_id)
+            heap.store_slot(a.obj_id, 0, b.obj_id)
 
     def test_dangling_store_allowed_unchecked(self, heap):
         # The per-store probe is off by default (it costs a dict lookup
@@ -134,7 +134,7 @@ class TestFields:
         a = heap.allocate(2, 2, space)
         b = heap.allocate(2, 0, space)
         heap.free(b)
-        heap.write_slot(a, 0, b.obj_id)
+        heap.store_slot(a.obj_id, 0, b.obj_id)
         assert heap.read_slot(a, 0) == b.obj_id
         with pytest.raises(HeapError):
             heap.check_integrity()

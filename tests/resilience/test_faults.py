@@ -128,7 +128,7 @@ class TestInjectors:
         young = collector.allocate(4)
         roots.set_global("young", young)
         old.fields[0] = young.obj_id
-        collector.remember_store(old, 0, young)
+        collector.remember_store(old.obj_id, 0, young.obj_id)
         roots.remove_global("young")  # young now lives via old's slot
         assert audit_collector(collector).ok
         injection = inject_fault(

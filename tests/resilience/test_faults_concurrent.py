@@ -34,8 +34,8 @@ def mid_handoff_collector():
     holder = collector.allocate(4, 1)
     child = collector.allocate(4)
     frame.push(holder)
-    barrier.on_store(holder, 0, child)
-    heap.write_slot(holder, 0, child.obj_id)
+    barrier.on_store(holder.obj_id, 0, child.obj_id)
+    heap.store_slot(holder.obj_id, 0, child.obj_id)
     while not collector.cycle_open:
         frame.push(collector.allocate(4))
     assert collector.marker_inflight

@@ -120,7 +120,7 @@ class TestSymbols:
         sym = machine.intern("quux")
         pair = machine.cons(None, None)
         with pytest.raises(HeapError):
-            machine._store(sym.obj, 0, pair)
+            machine._store(sym.obj_id, 0, pair)
 
     def test_symbols_survive_collection(self, machine):
         sym = machine.intern("keep")

@@ -35,7 +35,7 @@ def churn(heap, roots, collector, count: int = 120) -> None:
         obj = collector.allocate(1 + index % 3, 1)
         roots.set_global("latest", obj)
         if keep is not None and heap.contains_id(keep.obj_id):
-            barrier.on_store(keep, 0, obj)
+            barrier.on_store(keep.obj_id, 0, obj.obj_id)
             heap.write_field(keep, 0, obj)
         if index % 7 == 0:
             roots.set_global("keep", obj)
@@ -112,7 +112,7 @@ class TestAuditCatches:
 class TestCheckedMode:
     def test_hook_fires_on_collection(self):
         class Broken(GenerationalCollector):
-            def remember_store(self, obj, slot, target):
+            def remember_store(self, src_id, slot, target_id):
                 pass  # lose every barrier notification
 
         roots2 = RootSet()
@@ -124,7 +124,7 @@ class TestCheckedMode:
         broken.collect()  # promote
         young = broken.allocate(1)
         roots2.set_global("young", young)
-        barrier.on_store(old, 0, young)
+        barrier.on_store(old.obj_id, 0, young.obj_id)
         broken.heap.write_field(old, 0, young)
         # Reachable only through the old object: a minor collection
         # that never hears about the store frees it while live.
