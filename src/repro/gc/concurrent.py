@@ -7,15 +7,32 @@ moves the whole mark phase into a worker process:
 * **Cycle open (handoff)**: begin a mark epoch exactly like the
   incremental collector, snapshot the roots plus the heap's
   reachability-relevant state (:meth:`export_mark_snapshot` on either
-  backend — the flat backend ships its packed ``array('q')`` arenas as
-  raw bytes, one memcpy per arena; the object backend pickles a plain
-  dict), and hand it to :func:`_mark_snapshot_task`.  With
-  ``marker_workers == 0`` the task runs inline at the handoff — the
-  deterministic reference mode every oracle uses; with workers it is
-  submitted to a lazily created :class:`ProcessPoolExecutor` reusing
-  the hardened machinery of :mod:`repro.perf.parallel` (env-tunable
-  timeout, attempt-salted retries via ``derive_seed(seed, cycle,
-  attempt)``, worker-crash recovery, inline serial fallback).
+  backend — the flat backend ships its packed ``array('q')`` arenas,
+  one memcpy per arena; the object backend pickles a plain dict), and
+  hand it to :func:`_mark_snapshot_task`.  With ``marker_workers ==
+  0`` the task runs inline at the handoff on a snapshot carrying the
+  arenas as raw bytes — the deterministic reference mode every oracle
+  uses; with workers it is submitted to a lazily created
+  :class:`ProcessPoolExecutor` reusing the hardened machinery of
+  :mod:`repro.perf.parallel` (env-tunable timeout, attempt-salted
+  retries via ``derive_seed(seed, cycle, attempt)``, worker-crash
+  recovery, inline serial fallback).
+* **The shared-memory handoff (pool mode, flat backend)**: the arenas
+  are copied into one :class:`MarkSegment` the collector owns, and the
+  pickled task carries only the segment name, the arena lengths, the
+  space token and the roots.  The collector creates the segment at its
+  first pool-mode handoff, rewrites it in place each cycle, replaces it
+  with one twice the size when the arenas outgrow it, and unlinks it
+  in :meth:`~ConcurrentCollector.close` and on a watchdog abort (a
+  finalizer covers a collector dropped unclosed).  Workers attach once
+  per segment name and never unlink; the parent-side inline fallback
+  reads the same segment through the owner's handle, and
+  :func:`_trace_flat_snapshot` is the one tracer for every transport.
+* **The watchdog capture**: each pool-mode cycle open first captures
+  the collector's rollback target (:func:`~repro.resilience.snapshot.
+  capture_state`), copying the flat arenas one ``array('q')`` memcpy
+  each; it is dropped once the marker's result is in hand, the marker
+  is discarded, or the cycle is aborted.
 * **While the marker runs** the mutator proceeds untouched: allocation
   is allocate-black via the birth clock (nothing born after the epoch
   is ever scanned), and the SATB deletion barrier grays overwritten
@@ -46,11 +63,14 @@ SLO report gates.
 
 from __future__ import annotations
 
+import os
+import weakref
+
 from repro.gc.incremental import BLACK, GRAY, WHITE, IncrementalCollector
 from repro.heap.heap import HeapError, SimulatedHeap
 from repro.heap.roots import RootSet
 
-__all__ = ["ConcurrentCollector", "WedgedMarkerError"]
+__all__ = ["ConcurrentCollector", "MarkSegment", "WedgedMarkerError"]
 
 #: Placeholder payload installed when a snapshot restores a collector
 #: whose marker was in flight: the marker's *result* is rehydrated from
@@ -71,12 +91,135 @@ class WedgedMarkerError(RuntimeError):
     """
 
 
-def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], int]:
-    """Mark a flat-backend snapshot: the ``trace_region`` kernel over
-    rehydrated arenas, with non-resident roots skipped silently (the
-    cycle-open contract) and dangling *references* raised."""
-    from array import array
+#: The segment this marker worker attached last.  A new name means the
+#: owner grew its segment, so the old mapping is closed; workers never
+#: unlink, the owning collector does.
+_attached = None
 
+
+def _attach_segment(name: str):
+    """This worker's mapping of the segment called ``name``, attached
+    once per name.
+
+    The attach is kept out of :mod:`multiprocessing.resource_tracker`:
+    ``SharedMemory`` registers an attach as if it had created the
+    segment (``track=False`` only exists from CPython 3.13), and a
+    tracker other than the owner's would unlink the live segment, and
+    report it leaked, when the worker exits.  A worker runs one task at
+    a time, so swapping the hook out around the constructor is
+    race-free.
+    """
+    global _attached
+    if _attached is None or _attached.name != name:
+        from multiprocessing import resource_tracker
+        from multiprocessing.shared_memory import SharedMemory
+
+        if _attached is not None:
+            _attached.close()
+            _attached = None
+        register = resource_tracker.register
+        resource_tracker.register = lambda name, rtype: None
+        try:
+            _attached = SharedMemory(name)
+        finally:
+            resource_tracker.register = register
+    return _attached
+
+
+class MarkSegment:
+    """The shared-memory segment a pool-mode collector hands its flat
+    arenas to the marker through.
+
+    The collector owns it: :meth:`store` creates it on first use and
+    replaces it (doubling) when the arenas outgrow it, and
+    :meth:`unlink` — called by ``close()`` and by the watchdog abort —
+    removes it.  A segment still held when the collector is garbage
+    collected, or when the interpreter exits, is unlinked by a
+    finalizer; the resource tracker covers a parent that dies without
+    running either.  Only the creating process unlinks, so a forked
+    worker that inherited the object never does.
+    """
+
+    def __init__(self) -> None:
+        self._shm = None
+        self._finalizer = None
+
+    @property
+    def buf(self) -> memoryview:
+        return self._shm.buf
+
+    def store(self, arenas) -> tuple[str, tuple[int, ...]]:
+        """Copy ``arenas`` (``array('q')``s) into the segment back to
+        back, one memcpy each; returns the segment name and the arena
+        lengths, which are all a marker needs to find them."""
+        lengths = tuple(len(arena) for arena in arenas)
+        nbytes = 8 * sum(lengths)
+        shm = self._shm
+        if shm is None or shm.size < nbytes:
+            from multiprocessing.shared_memory import SharedMemory
+
+            size = max(nbytes, 8 if shm is None else 2 * shm.size)
+            self.unlink()
+            shm = self._shm = SharedMemory(create=True, size=size)
+            self._finalizer = weakref.finalize(
+                self, _unlink_segment, shm, os.getpid()
+            )
+        with shm.buf.cast("q") as view:
+            offset = 0
+            for arena, length in zip(arenas, lengths):
+                view[offset:offset + length] = arena
+                offset += length
+        return shm.name, lengths
+
+    def unlink(self) -> None:
+        """Close and remove the segment (idempotent)."""
+        finalizer = self._finalizer
+        self._shm = None
+        self._finalizer = None
+        if finalizer is not None:
+            finalizer()
+
+
+def _unlink_segment(shm, owner: int) -> None:
+    if os.getpid() != owner:
+        return
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
+    shm.close()
+
+
+def _flat_arenas(snapshot: dict, segment: MarkSegment | None):
+    """The header, state, slot-base and ref arenas of a flat snapshot
+    as ``'q'`` memoryviews, read in place: over the bytes an inline
+    snapshot carries, or over the shared-memory segment a pool-mode
+    snapshot names (``segment`` is the owner's own handle, for the
+    parent-side fallback; a worker attaches by name)."""
+    if "segment" not in snapshot:
+        return tuple(
+            memoryview(snapshot[key]).cast("q")
+            for key in ("hdr", "state", "slot_base", "refs")
+        )
+    if segment is None:
+        buf = _attach_segment(snapshot["segment"]).buf
+    else:
+        buf = segment.buf
+    arenas = []
+    offset = 0
+    with buf.cast("q") as view:
+        for length in snapshot["lengths"]:
+            arenas.append(view[offset:offset + length])
+            offset += length
+    return tuple(arenas)
+
+
+def _trace_flat_snapshot(
+    arenas: tuple, token: int, roots: list[int]
+) -> tuple[set[int], int]:
+    """Mark a flat-backend snapshot: the ``trace_region`` kernel over
+    the shipped arenas, with non-resident roots skipped silently (the
+    cycle-open contract) and dangling *references* raised."""
     from repro.heap.flat import (
         _DEAD,
         _DETACHED,
@@ -86,15 +229,7 @@ def _trace_flat_snapshot(snapshot: dict, roots: list[int]) -> tuple[set[int], in
         _TOKEN_MASK,
     )
 
-    hdr = array("q")
-    hdr.frombytes(snapshot["hdr"])
-    state = array("q")
-    state.frombytes(snapshot["state"])
-    sbase = array("q")
-    sbase.frombytes(snapshot["slot_base"])
-    refs = array("q")
-    refs.frombytes(snapshot["refs"])
-    token = snapshot["token"]
+    hdr, state, sbase, refs = arenas
     n = len(state)
     marked: set[int] = set()
     mark = marked.add
@@ -169,10 +304,15 @@ def _trace_object_snapshot(
     return marked, words
 
 
-def _mark_snapshot_task(payload: tuple, attempt: int = 0) -> dict:
+def _mark_snapshot_task(
+    payload: tuple, attempt: int = 0, segment: MarkSegment | None = None
+) -> dict:
     """Worker entry point: trace one heap snapshot to a reachable set.
 
-    ``payload`` is ``(snapshot, base_seed, cycle_index)``.  The root
+    ``payload`` is ``(snapshot, base_seed, cycle_index)``; a pool-mode
+    flat snapshot names its shared-memory segment, which the worker
+    attaches by name, or which the parent-side fallback reads through
+    its own ``segment`` handle.  The root
     order is shuffled by ``derive_seed(base_seed, cycle_index,
     attempt)`` — the attempt salt keeps retried tasks distinct (the
     ``resilient_map`` discipline) while the result stays order-free
@@ -190,7 +330,16 @@ def _mark_snapshot_task(payload: tuple, attempt: int = 0) -> dict:
     random.Random(derive_seed(base_seed, cycle_index, attempt)).shuffle(roots)
     try:
         if snapshot["backend"] == "flat":
-            marked, words = _trace_flat_snapshot(snapshot, roots)
+            arenas = _flat_arenas(snapshot, segment)
+            try:
+                marked, words = _trace_flat_snapshot(
+                    arenas, snapshot["token"], roots
+                )
+            finally:
+                # Views pin the segment's mapping; drop them before the
+                # owner may close it.
+                for arena in arenas:
+                    arena.release()
         else:
             marked, words = _trace_object_snapshot(snapshot, roots)
     except HeapError as exc:
@@ -267,8 +416,12 @@ class ConcurrentCollector(IncrementalCollector):
         #: Wedged cycles aborted by the watchdog supervisor.
         self.watchdog_aborts = 0
         #: In-memory rollback target captured at each pool-mode cycle
-        #: open, just before the epoch begins (a quiescent safepoint).
+        #: open, just before the epoch begins (a quiescent safepoint);
+        #: held only until the marker's result is in hand.
         self._cycle_checkpoint: dict | None = None
+        #: The shared-memory segment pool-mode flat snapshots travel
+        #: through (no OS resource until the first pool-mode handoff).
+        self._segment = MarkSegment()
 
     # ------------------------------------------------------------------
     # Marker lifecycle
@@ -296,9 +449,18 @@ class ConcurrentCollector(IncrementalCollector):
             self._result = _mark_snapshot_task(payload)
             self._future = None
         else:
-            self._future = self._ensure_pool().submit(
-                _mark_snapshot_task, payload, 0
-            )
+            from concurrent.futures import Future
+            from concurrent.futures.process import BrokenProcessPool
+
+            try:
+                self._future = self._ensure_pool().submit(
+                    _mark_snapshot_task, payload, 0
+                )
+            except BrokenProcessPool as exc:
+                # The worker died between cycles: hand the failure to
+                # the drain's ladder, which replaces the pool.
+                self._future = Future()
+                self._future.set_exception(exc)
 
     def _drain_pending(self) -> dict:
         """The marker's result dict, waiting/retrying as needed.
@@ -354,7 +516,9 @@ class ConcurrentCollector(IncrementalCollector):
                             f"marker wedged after {attempt} attempts "
                             f"(timeout {timeout}s)"
                         )
-                    result = _mark_snapshot_task(self._payload, attempt)
+                    result = _mark_snapshot_task(
+                        self._payload, attempt, self._segment
+                    )
                     break
                 future = self._ensure_pool().submit(
                     _mark_snapshot_task, self._payload, attempt
@@ -363,6 +527,9 @@ class ConcurrentCollector(IncrementalCollector):
                 self._attempt = attempt
         self._future = None
         self._result = result
+        # The marker answered: the cycle can no longer wedge, so the
+        # rollback target is dead weight.
+        self._cycle_checkpoint = None
         return result
 
     def _await_marker(self) -> tuple[set[int], int]:
@@ -403,16 +570,19 @@ class ConcurrentCollector(IncrementalCollector):
         self._result = None
         self._attempt = 0
         self._done_early = False
+        self._cycle_checkpoint = None
         if future is not None:
             future.cancel()
 
     def close(self) -> None:
-        """Release the marker pool (idempotent)."""
+        """Release the marker pool and the handoff segment
+        (idempotent)."""
         self._discard_pending()
         pool = self._pool
         self._pool = None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
+        self._segment.unlink()
 
     # ------------------------------------------------------------------
     # Watchdog supervisor
@@ -436,6 +606,7 @@ class ConcurrentCollector(IncrementalCollector):
         self._pool = None
         if pool is not None:
             _terminate_pool(pool)
+        self._segment.unlink()
         restore_state(self, checkpoint)
         self.marker_workers = 0
         self.watchdog_aborts += 1
@@ -523,7 +694,11 @@ class ConcurrentCollector(IncrementalCollector):
         self.cycles_opened += 1
         self.gray_stack.clear()
         root_ids = self._root_ids()
-        snapshot = heap.export_mark_snapshot(self.space, root_ids)
+        snapshot = heap.export_mark_snapshot(
+            self.space,
+            root_ids,
+            self._segment if self.marker_workers > 0 else None,
+        )
         self._submit_marker(snapshot)
         self.stats.record_pause(
             clock=heap.clock,

@@ -848,41 +848,63 @@ class FlatHeap:
         return out
 
     def export_mark_snapshot(
-        self, space: FlatSpace, root_ids: Iterable[int]
+        self, space: FlatSpace, root_ids: Iterable[int], segment=None
     ) -> dict:
         """Package the reachability-relevant arenas for an off-process
         marker (:mod:`repro.gc.concurrent`).
 
-        The header/state/slot-base arenas ship as raw ``array('q')``
-        bytes — one memcpy each, O(arena bytes).  The slot arena is a
-        Python list (it holds ids, ``None``, and immediates), so it is
-        lowered to a packed ref arena with non-references encoded as
-        ``-1``; ids are non-negative, so the encoding is unambiguous.
-        Birth clocks are deliberately absent: every snapshot-resident
-        id is pre-epoch by construction (the epoch opens at export).
+        Four ``array('q')`` arenas are shipped: header, state, slot
+        base, and a packed ref arena.  The slot arena is a Python list
+        (it holds ids, ``None``, and immediates), so it is lowered to
+        refs with non-references encoded as ``-1``; ids are
+        non-negative, so the encoding is unambiguous.  Birth clocks are
+        deliberately absent: every snapshot-resident id is pre-epoch by
+        construction (the epoch opens at export).
+
+        Both transports cost one memcpy per arena, O(arena bytes):
+
+        * ``segment=None`` (inline marking, the oracles' reference
+          mode): the arenas travel as raw bytes in the snapshot.
+        * A pool-mode collector passes the shared-memory segment it
+          owns (:class:`repro.gc.concurrent.MarkSegment`); the arenas
+          are copied into it back to back and the snapshot carries only
+          the segment name and the arena lengths, so the task a worker
+          unpickles is a few hundred bytes however large the heap.  The
+          collector keeps the segment across cycles, grows it when the
+          arenas outgrow it, and unlinks it on ``close()`` or a
+          watchdog abort; workers only attach to it.
         """
         refs = array(
             "q", (x if type(x) is int else -1 for x in self._slots)
         )
-        return {
+        snapshot = {
             "backend": "flat",
-            "hdr": self._hdr.tobytes(),
-            "state": self._state.tobytes(),
-            "slot_base": self._slot_base.tobytes(),
-            "refs": refs.tobytes(),
             "token": space._token,
             "roots": list(root_ids),
         }
+        if segment is None:
+            snapshot["hdr"] = self._hdr.tobytes()
+            snapshot["state"] = self._state.tobytes()
+            snapshot["slot_base"] = self._slot_base.tobytes()
+            snapshot["refs"] = refs.tobytes()
+        else:
+            snapshot["segment"], snapshot["lengths"] = segment.store(
+                (self._hdr, self._state, self._slot_base, refs)
+            )
+        return snapshot
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
     def export_state(self) -> dict:
-        """A JSON-serializable snapshot of the full heap state.
+        """A snapshot of the full heap state.
 
-        Arenas ship as plain integer lists (portable and diffable; the
-        simulated workloads keep them small).  Per-space id lists are
+        The packed arenas are copied as ``array('q')``s, one memcpy
+        each, so the concurrent collector's per-cycle watchdog capture
+        stays O(arena bytes); :func:`repro.resilience.snapshot.checkpoint`
+        lowers them to integer lists where the snapshot becomes JSON,
+        and :meth:`import_state` takes either form.  Per-space id lists are
         serialized verbatim *including stale lazy-deletion entries* —
         positions are baked into the packed state words, so dropping
         stale entries would desynchronize every survivor.  Payload
@@ -892,11 +914,11 @@ class FlatHeap:
             "backend": "flat",
             "clock": self.clock,
             "objects_allocated": self.objects_allocated,
-            "hdr": list(self._hdr),
-            "birth": list(self._birth),
-            "state": list(self._state),
-            "color": list(self._color),
-            "slot_base": list(self._slot_base),
+            "hdr": array("q", self._hdr),
+            "birth": array("q", self._birth),
+            "state": array("q", self._state),
+            "color": array("q", self._color),
+            "slot_base": array("q", self._slot_base),
             "slots": list(self._slots),
             "payloads": sorted(
                 [oid, payload] for oid, payload in self._payloads.items()

@@ -483,13 +483,14 @@ class SimulatedHeap:
         }
 
     def export_mark_snapshot(
-        self, space: Space, root_ids: Iterable[int]
+        self, space: Space, root_ids: Iterable[int], segment=None
     ) -> dict:
         """Package the reachability-relevant heap state for an
         off-process marker (:mod:`repro.gc.concurrent`).
 
-        The object backend has no arenas to memcpy, so this is the
-        pickle fallback: a plain dict of ``oid -> (size, ref_ids)`` for
+        The object backend has no arenas to memcpy, so it ignores the
+        pool-mode shared-memory ``segment`` and ships the pickle
+        fallback: a plain dict of ``oid -> (size, ref_ids)`` for
         the space's residents, plus the set of all known ids so the
         marker can distinguish a boundary reference (skip) from a
         dangling one (raise) exactly like the in-process trace.

@@ -35,13 +35,18 @@ name), then the heap contents, then roots, then stats.
 
 :func:`capture_state`/:func:`restore_state` are the raw in-memory
 halves (no envelope, no checksum); the concurrent collector's watchdog
-uses them for its cycle-open rollback target.
+uses them for its cycle-open rollback target.  A raw capture keeps the
+flat heap's arenas as ``array('q')`` copies (one memcpy each, so the
+watchdog pays O(arena bytes) per cycle, not a Python int per entry);
+:func:`checkpoint` lowers them to integer lists, so documents and their
+checksums are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -100,7 +105,8 @@ def capture_state(collector: "Collector") -> dict:
 
     Synchronizes with an in-flight concurrent marker (its result is
     materialized into the collector state), so the capture is a
-    self-contained resume point.
+    self-contained resume point.  Packed heap arenas stay
+    ``array('q')`` copies; see :func:`checkpoint` for the JSON form.
     """
     return {
         "backend": collector.heap.backend_name,
@@ -140,6 +146,10 @@ def checkpoint(
     replays that construction before importing the state.
     """
     payload = capture_state(collector)
+    payload["heap"] = {
+        key: value.tolist() if isinstance(value, array) else value
+        for key, value in payload["heap"].items()
+    }
     payload["collector"] = {"kind": kind, "geometry": asdict(geometry)}
     document = {
         "format": SNAPSHOT_FORMAT,

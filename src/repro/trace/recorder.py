@@ -47,7 +47,12 @@ class LifetimeRecorder:
                 "TracingCollector; other collectors reclaim objects "
                 "behind the recorder's back"
             )
-        self.machine = machine
+        # The machine holds this recorder through its allocation hook,
+        # so the recorder keeps only the heap and roots it samples:
+        # holding the machine too would make every recorded run a
+        # reference cycle, freed only by CPython's cyclic collector.
+        self._heap = machine.heap
+        self._roots = machine.roots
         self.epoch_words = epoch_words
         self.trace = LifetimeTrace(start_clock=machine.clock)
         self._records: dict[int, ObjectRecord] = {}
@@ -67,7 +72,7 @@ class LifetimeRecorder:
         )
         self._records[obj.obj_id] = record
         self.trace.records.append(record)
-        if self.machine.clock >= self._next_epoch:
+        if self._heap.clock >= self._next_epoch:
             self.sample()
 
     # ------------------------------------------------------------------
@@ -76,17 +81,17 @@ class LifetimeRecorder:
 
     def sample(self) -> None:
         """Trace the heap; record and reclaim newly unreachable objects."""
-        machine = self.machine
-        clock = machine.clock
-        reached = machine.heap.reachable_from(machine.roots.ids())
+        heap = self._heap
+        clock = heap.clock
+        reached = heap.reachable_from(self._roots.ids())
         for obj_id, record in list(self._records.items()):
             if record.death is not None:
                 continue
             if obj_id not in reached:
                 record.death = clock
                 del self._records[obj_id]
-                if machine.heap.contains_id(obj_id):
-                    machine.heap.free(machine.heap.get(obj_id))
+                if heap.contains_id(obj_id):
+                    heap.free(heap.get(obj_id))
         # Records of still-live objects stay in _records; dead ones are
         # dropped so the dict tracks exactly the live population.
         while self._next_epoch <= clock:
@@ -96,7 +101,7 @@ class LifetimeRecorder:
         """Take a final sample and seal the trace."""
         if not self._finished:
             self.sample()
-            self.trace.end_clock = self.machine.clock
+            self.trace.end_clock = self._heap.clock
             self._finished = True
         return self.trace
 

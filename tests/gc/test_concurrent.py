@@ -14,12 +14,21 @@ Four layers:
   inline task with the attempt salt bumped, and the salt perturbs
   only traversal order, never the result;
 * lifecycle — errors travel back as data and raise at reconciliation,
-  and close/collect/static-promotion all discard the pending marker.
+  and close/collect/static-promotion all discard the pending marker;
+* the shared-memory handoff (flat backend, pool mode) — whatever ends
+  a segment's life (close, watchdog abort, a killed worker, the inline
+  fallback, growth), no ``psm_*`` segment outlives it, and a heap that
+  grows between cycles marks the same in the pool as inline.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +292,215 @@ class TestLifecycle:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             setup(marker_workers=-1)
+
+
+SHM_DIR = Path("/dev/shm")
+
+
+def segments() -> set[str]:
+    """The POSIX shared-memory segments ``SharedMemory`` names."""
+    return {entry.name for entry in SHM_DIR.glob("psm_*")}
+
+
+def segment_name(collector) -> str:
+    return collector._segment._shm.name
+
+
+def open_cycle(collector, roots, frame=None):
+    frame = frame if frame is not None else roots.push_frame()
+    while not collector.cycle_open:
+        frame.push(collector.allocate(4, 1))
+    return frame
+
+
+@pytest.mark.skipif(not SHM_DIR.is_dir(), reason="no /dev/shm")
+class TestSharedMemoryHandoff:
+    def test_pool_snapshot_ships_only_the_segment_name(self):
+        _, roots, collector = setup(
+            heap_words=200, backend="flat", marker_workers=1
+        )
+        try:
+            open_cycle(collector, roots)
+            snapshot = collector._payload[0]
+            assert set(snapshot) == {
+                "backend", "segment", "lengths", "token", "roots"
+            }
+            assert snapshot["segment"] in segments()
+            assert collector.pending_marked_ids()
+        finally:
+            collector.close()
+
+    def test_close_unlinks_segment_and_is_idempotent(self):
+        before = segments()
+        _, roots, collector = setup(
+            heap_words=200, backend="flat", marker_workers=1
+        )
+        open_cycle(collector, roots)
+        name = segment_name(collector)
+        assert name in segments()
+        collector.close()
+        assert name not in segments()
+        collector.close()
+        assert segments() <= before
+
+    def test_watchdog_abort_unlinks_segment(self):
+        from concurrent.futures import Future
+
+        before = segments()
+        _, roots, collector = setup(
+            heap_words=400,
+            backend="flat",
+            marker_workers=1,
+            marker_timeout=0.01,
+            marker_retries=0,
+        )
+        open_cycle(collector, roots)
+        name = segment_name(collector)
+        collector._future = Future()  # wedged: never completes
+        collector.collect()
+        assert collector.watchdog_aborts == 1
+        assert collector._cycle_checkpoint is None
+        assert name not in segments()
+        # Degraded to inline marking: no new segment either.
+        collector.collect()
+        assert segments() <= before
+        collector.close()
+
+    def test_killed_worker_retries_through_a_new_pool(self):
+        before = segments()
+        _, roots, collector = setup(
+            heap_words=400, backend="flat", marker_workers=1,
+            marker_retries=1,
+        )
+        _, roots_i, inline = setup(heap_words=400, backend="flat")
+        try:
+            for subject, subject_roots in (
+                (collector, roots), (inline, roots_i)
+            ):
+                open_cycle(subject, subject_roots)
+                subject.collect()
+            pool = collector._pool
+            for process in list(pool._processes.values()):
+                process.kill()
+            deadline = time.monotonic() + 10
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            for subject in (collector, inline):
+                subject.collect()
+            assert collector._pool is not pool
+            assert collector.watchdog_aborts == 0
+            assert collector.stats.snapshot() == inline.stats.snapshot()
+            assert sorted(collector.space.object_ids()) == sorted(
+                inline.space.object_ids()
+            )
+        finally:
+            collector.close()
+        assert segments() <= before
+
+    def test_inline_fallback_reads_the_segment(self):
+        before = segments()
+        _, roots, collector = setup(
+            heap_words=200, backend="flat", marker_workers=1,
+            marker_timeout=0.01, marker_retries=0,
+        )
+        try:
+            open_cycle(collector, roots)
+            expected = collector.pending_marked_ids()
+            assert collector._cycle_checkpoint is None
+            # The pool never answers and the watchdog is disarmed (the
+            # result was once in hand): the ladder ends at the parent's
+            # own read of the segment.
+            collector._result = None
+            collector._future = _HungFuture()
+            marked, _words = collector._await_marker()
+            assert frozenset(marked) == expected
+            collector.collect()
+        finally:
+            collector.close()
+        assert segments() <= before
+
+    def test_segment_grows_and_old_segments_are_unlinked(self):
+        before = segments()
+        heap_p, roots_p, pool = setup(
+            heap_words=100, backend="flat", marker_workers=1
+        )
+        heap_i, roots_i, inline = setup(heap_words=100, backend="flat")
+        names = []
+        try:
+            frames = (roots_p.push_frame(), roots_i.push_frame())
+            for round_ in range(6):
+                # Each round roots more objects than the last, so the
+                # arenas outgrow the segment between cycles.
+                for subject, frame in zip((pool, inline), frames):
+                    for index in range(20 * (round_ + 1)):
+                        obj = subject.allocate(3, 1)
+                        if index % 3:
+                            frame.push(obj)
+                    subject.collect()
+                names.append(segment_name(pool))
+                assert segments() - before == {names[-1]}
+            assert len(set(names)) > 1
+            assert pool.stats.snapshot() == inline.stats.snapshot()
+            assert pool.stats.pauses == inline.stats.pauses
+            assert sorted(pool.space.object_ids()) == sorted(
+                inline.space.object_ids()
+            )
+        finally:
+            pool.close()
+        assert segments() <= before
+
+    def test_checkpoint_released_after_pool_collect(self):
+        _, roots, collector = setup(
+            heap_words=200, backend="flat", marker_workers=1
+        )
+        try:
+            frame = open_cycle(collector, roots)
+            assert collector._cycle_checkpoint is not None
+            collector.collect()
+            assert collector._cycle_checkpoint is None
+            # A marker discarded undrained releases it too.
+            open_cycle(collector, roots, frame)
+            assert collector._cycle_checkpoint is not None
+            collector.on_static_promotion()
+            assert collector._cycle_checkpoint is None
+        finally:
+            collector.close()
+
+    def test_process_exit_leaves_no_segment_and_no_tracker_warning(
+        self, tmp_path
+    ):
+        # A closed collector, an unclosed one dropped mid-cycle, and
+        # one still alive at exit: the resource tracker (which reports
+        # segments leaked at shutdown on stderr) must find nothing.
+        script = tmp_path / "handoff.py"
+        script.write_text(
+            "from repro.gc.concurrent import ConcurrentCollector\n"
+            "from repro.heap.backend import make_heap\n"
+            "from repro.heap.roots import RootSet\n"
+            "def cycle():\n"
+            "    roots = RootSet()\n"
+            "    c = ConcurrentCollector(make_heap('flat'), roots, 200,\n"
+            "                            marker_workers=1)\n"
+            "    frame = roots.push_frame()\n"
+            "    while not c.cycle_open:\n"
+            "        frame.push(c.allocate(4, 1))\n"
+            "    return c\n"
+            "closed = cycle(); closed.collect(); closed.close()\n"
+            "cycle()\n"
+            "kept = cycle()\n"
+            "print(kept._segment._shm.name)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "resource_tracker" not in done.stderr, done.stderr
+        assert "leaked" not in done.stderr, done.stderr
+        assert done.stdout.strip() not in segments()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.gc.marksweep import MarkSweepCollector
@@ -103,3 +106,34 @@ class TestRecorder:
             machine.cons(Fixnum(0), None)
         recorder.sample()
         assert recorder.live_object_count <= 3 + 10
+
+    def test_recorded_run_is_freed_by_refcount(self):
+        # With the cyclic collector off, a finished recorded run (its
+        # machine, heap and recorder) must go the moment the last
+        # outside reference does: the allocation hook may point from
+        # the machine to the recorder, never back.
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            machine = Machine(TracingCollector)
+            recorder = LifetimeRecorder(machine, epoch_words=10)
+            keep = machine.cons(Fixnum(1), None)
+            for _ in range(30):
+                machine.cons(Fixnum(0), keep)
+            trace = recorder.finish()
+            alive = weakref.ref(machine)
+            alive_recorder = weakref.ref(recorder)
+            del machine, recorder, keep
+            assert alive() is None
+            assert alive_recorder() is None
+            assert gc.collect() == 0, sorted(
+                {type(item).__name__ for item in gc.garbage}
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert trace.object_count == 31
